@@ -261,8 +261,6 @@ BenchMain(int argc, char **argv)
         simd::BackendAvailable(simd::Backend::kAvx2);
     const bool avx512_available =
         simd::BackendAvailable(simd::Backend::kAvx512);
-    const bool avx512ifma_available =
-        simd::BackendAvailable(simd::Backend::kAvx512Ifma);
     const bool neon_available =
         simd::BackendAvailable(simd::Backend::kNeon);
     double ntt_backend_ns[kBackends] = {};    // fused radix-4 walker
@@ -425,7 +423,6 @@ BenchMain(int argc, char **argv)
             "  \"simd_default_backend\": \"%s\",\n"
             "  \"avx2_available\": %s,\n"
             "  \"avx512_available\": %s,\n"
-            "  \"avx512ifma_available\": %s,\n"
             "  \"neon_available\": %s,\n"
             "  \"ntt4096_scalar_ns\": %.1f,\n"
             "  \"ntt4096_avx2_ns\": %.1f,\n"
@@ -446,12 +443,10 @@ BenchMain(int argc, char **argv)
             "  \"elementwise_tensor_scalar_ns\": %.1f,\n"
             "  \"elementwise_tensor_avx2_ns\": %.1f,\n"
             "  \"elementwise_tensor_avx512_ns\": %.1f,\n"
-            "  \"elementwise_tensor_avx512ifma_ns\": %.1f,\n"
             "  \"elementwise_tensor_neon_ns\": %.1f,\n"
             "  \"elementwise_foldrescale_scalar_ns\": %.1f,\n"
             "  \"elementwise_foldrescale_avx2_ns\": %.1f,\n"
             "  \"elementwise_foldrescale_avx512_ns\": %.1f,\n"
-            "  \"elementwise_foldrescale_avx512ifma_ns\": %.1f,\n"
             "  \"elementwise_foldrescale_neon_ns\": %.1f,\n"
             "  \"speedup_elementwise_tensor_avx512_vs_avx2\": %.3f,\n"
             "  \"speedup_elementwise_foldrescale_avx512_vs_avx2\": "
@@ -463,7 +458,6 @@ BenchMain(int argc, char **argv)
             simd::BackendName(simd::ActiveBackend()),
             avx2_available ? "true" : "false",
             avx512_available ? "true" : "false",
-            avx512ifma_available ? "true" : "false",
             neon_available ? "true" : "false", ntt_backend_ns[0],
             ntt_backend_ns[1], ntt_backend_ns[2], ntt_radix2_ns[0],
             ntt_radix2_ns[1], ntt_radix2_ns[2],
@@ -476,9 +470,8 @@ BenchMain(int argc, char **argv)
             mul_backend_ns[2],
             avx2_available ? mul_backend_ns[0] / mul_backend_ns[1] : 0.0,
             ew_tensor_ns[0], ew_tensor_ns[1], ew_tensor_ns[2],
-            ew_tensor_ns[3], ew_tensor_ns[4], ew_foldrescale_ns[0],
-            ew_foldrescale_ns[1], ew_foldrescale_ns[2],
-            ew_foldrescale_ns[3], ew_foldrescale_ns[4],
+            ew_tensor_ns[3], ew_foldrescale_ns[0], ew_foldrescale_ns[1],
+            ew_foldrescale_ns[2], ew_foldrescale_ns[3],
             ew_tensor_512_vs_2, ew_foldrescale_512_vs_2, alloc_delta);
         std::fclose(f);
         std::printf("wrote %s\n", json_path.c_str());

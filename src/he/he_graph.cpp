@@ -33,13 +33,6 @@ CtFuture::get() const
     }
     MutexLock lock(graph_->mutex_);
     if (!graph_->nodes_[node_].done) {
-        // Demanding a node pins it into the schedule: a previous
-        // bypass is undone, and the fusion pass of the Execute() this
-        // very call triggers will not bypass it either — without the
-        // pin, get() on a Relinearize whose only consumer is a pending
-        // ModSwitch would return an empty value.
-        graph_->nodes_[node_].demanded = true;
-        graph_->nodes_[node_].fused_away = false;
         graph_->ExecuteLocked();
     }
     const HeOpGraph::Node &node = graph_->nodes_[node_];
@@ -211,7 +204,7 @@ HeOpGraph::pending() const
     MutexLock lock(mutex_);
     std::size_t count = 0;
     for (const Node &node : nodes_) {
-        if (!node.done && !node.fused_away) {
+        if (!node.done) {
             ++count;
         }
     }
@@ -228,62 +221,6 @@ HeOpGraph::Execute()
 void
 HeOpGraph::ExecuteLocked()
 {
-    // Auto-fusion pass: a pending Relinearize whose ONLY consumer is a
-    // pending ModSwitch collapses into that consumer as one fused
-    // kRelinModSwitch node — the scheduler applies the same fusion an
-    // explicit RelinModSwitch() call opts into. Consumers are counted
-    // across every not-yet-done node (single-operand kinds store their
-    // operand twice; count it once), so a Relinearize feeding anything
-    // else keeps its standalone node. Graphs without relin keys never
-    // fuse (and can never hold bypassed nodes), so the whole pass is
-    // skipped there; a pending node carrying its own key (cross-client
-    // graphs) re-enables it.
-    bool any_keyed = rk_ != nullptr;
-    for (const Node &node : nodes_) {
-        if (!node.done && node.rk != nullptr) {
-            any_keyed = true;
-        }
-    }
-    if (any_keyed) {
-        std::vector<std::size_t> uses(nodes_.size(), 0);
-        for (const Node &node : nodes_) {
-            if (node.done) {
-                continue;
-            }
-            ++uses[node.a];
-            if (node.b != node.a) {
-                ++uses[node.b];
-            }
-        }
-        // A node bypassed by an earlier Execute() that has since
-        // gained a pending consumer (ops can keep appending) rejoins
-        // the schedule — the pass below may legitimately re-bypass it
-        // when the new consumer is again a lone ModSwitch; any other
-        // consumer shape materialises it.
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            if (nodes_[i].fused_away && uses[i] > 0) {
-                nodes_[i].fused_away = false;
-            }
-        }
-        for (Node &node : nodes_) {
-            if (node.done || node.kind != Kind::kModSwitch) {
-                continue;
-            }
-            Node &relin = nodes_[node.a];
-            if (relin.done || relin.fused_away || relin.demanded ||
-                relin.kind != Kind::kRelin || uses[node.a] != 1 ||
-                (relin.rk == nullptr && rk_ == nullptr)) {
-                continue;
-            }
-            node.kind = Kind::kRelinModSwitch;
-            node.a = relin.a;
-            node.b = relin.a;
-            node.rk = relin.rk;  // the fused stage key-switches with
-                                 // the bypassed node's key
-            relin.fused_away = true;
-        }
-    }
-
     // Wavefront labelling: operands always precede their consumers in
     // nodes_ (append-only), so one ascending pass assigns each pending
     // node 1 + the max depth of its pending operands (computed nodes
@@ -291,7 +228,7 @@ HeOpGraph::ExecuteLocked()
     std::vector<std::size_t> depth(nodes_.size(), 0);
     std::size_t max_depth = 0;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (nodes_[i].done || nodes_[i].fused_away) {
+        if (nodes_[i].done) {
             continue;
         }
         depth[i] = 1 + std::max(depth[nodes_[i].a], depth[nodes_[i].b]);
@@ -345,7 +282,7 @@ HeOpGraph::ExecuteLocked()
         // exactly the failed node's dependants.
         for (std::size_t i = 0; i < nodes_.size(); ++i) {
             Node &node = nodes_[i];
-            if (node.done || node.fused_away || depth[i] != d) {
+            if (node.done || depth[i] != d) {
                 continue;
             }
             const std::size_t bad =
@@ -364,8 +301,8 @@ HeOpGraph::ExecuteLocked()
         for (const Kind kind : kKinds) {
             group.clear();
             for (std::size_t i = 0; i < nodes_.size(); ++i) {
-                if (!nodes_[i].done && !nodes_[i].fused_away &&
-                    depth[i] == d && nodes_[i].kind == kind) {
+                if (!nodes_[i].done && depth[i] == d &&
+                    nodes_[i].kind == kind) {
                     group.push_back(i);
                 }
             }

@@ -186,14 +186,9 @@ class HeOpGraph
      * (a Relinearize scheduled on a graph built without keys) still
      * throw out of Execute(), as a PreconditionError.
      *
-     * The scheduler auto-fuses before running: a pending Relinearize
-     * node whose only consumer is a pending ModSwitch collapses into
-     * one kRelinModSwitch node (the fused kernel), exactly what an
-     * explicit RelinModSwitch() call would have enqueued — the
-     * standalone fold/rescale sweeps between the two ops disappear.
-     * The bypassed Relinearize node is *not* computed; holding a
-     * CtFuture to it stays legal — get() materialises it on demand
-     * with a standalone Relinearize.
+     * Nodes run exactly as enqueued: a Relinearize followed by a
+     * ModSwitch stays two nodes. The fused kernel is reached only
+     * through RelinModSwitch()/MulRelinModSwitch().
      */
     void Execute() HENTT_EXCLUDES(mutex_);
 
@@ -237,14 +232,6 @@ class HeOpGraph
         // falls back to the graph-level rk_. Must outlive execution.
         const RelinKey *rk = nullptr;
         bool done = false;
-        // Bypassed by the auto-fusion pass (a Relinearize whose only
-        // consumer became a fused node): skipped by Execute and by
-        // pending(), materialised lazily if a CtFuture demands it.
-        bool fused_away = false;
-        // A CtFuture::get() asked for this node's value: the fusion
-        // pass must never bypass it (even on the Execute() that the
-        // get() itself triggers).
-        bool demanded = false;
         // Settled failure state. A done node with !status.ok() holds no
         // value: its kernel threw (status carries the kernel error) or
         // an operand failed upstream (kPoisoned, naming the origin).

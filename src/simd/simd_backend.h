@@ -19,16 +19,12 @@
  *  - an AVX-512 implementation covering the full vocabulary — the
  *    butterfly family (rows, whole stages, fused radix-4 stage pairs)
  *    AND the element-wise family — at eight residues per vector op,
- *  - an AVX-512 IFMA ablation tier (vpmadd52lo/hi 52-bit limb
- *    products standing in for the 32x32 partial-product tree on the
- *    mul/mul-acc family; bench-only — see simd_avx512ifma.cpp), and
+ *    and
  *  - a NEON/arm64 implementation (2 x u64 lanes via uint64x2_t).
  *
  * Backend selection: runtime CPUID by default (best available wins:
- * avx512 > avx2 > neon > scalar; the IFMA tier is never auto-selected
- * — it measured below the DQ table, see ARCHITECTURE.md), overridable
- * with the environment variable
- * `HENTT_SIMD=scalar|avx2|avx512|avx512ifma|neon|auto` (read once, at
+ * avx512 > avx2 > neon > scalar), overridable with the environment
+ * variable `HENTT_SIMD=scalar|avx2|avx512|neon|auto` (read once, at
  * first use) or programmatically with ForceBackend() (benches and the
  * parity tests). Requesting an unavailable backend through the
  * environment falls back to scalar with a one-line stderr warning
@@ -55,7 +51,6 @@ enum class Backend {
     kScalar,      ///< portable reference (always available)
     kAvx2,        ///< 4 x u64 lanes; requires compile-time -mavx2 + CPUID
     kAvx512,      ///< 8 x u64 lanes, full vocabulary; -mavx512f/dq + CPUID
-    kAvx512Ifma,  ///< avx512 with vpmadd52 operand products; CPUID ifma
     kNeon,        ///< 2 x u64 lanes via uint64x2_t (arm64 AdvSIMD)
 };
 
@@ -65,8 +60,7 @@ enum class Backend {
  * bench columns with zero per-backend edits.
  */
 inline constexpr Backend kAllBackends[] = {
-    Backend::kScalar,      Backend::kAvx2, Backend::kAvx512,
-    Backend::kAvx512Ifma,  Backend::kNeon,
+    Backend::kScalar, Backend::kAvx2, Backend::kAvx512, Backend::kNeon,
 };
 
 /** Number of Backend members (bench column arrays index by enum). */

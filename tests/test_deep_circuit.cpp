@@ -191,8 +191,8 @@ HENTT_PBT_PROP(DeepCircuit, TowerBitIdenticalAcrossBackendsAndWalks,
     const Ciphertext fresh =
         f.scheme->Encrypt(*f.sk, RandomPlain(*f.ctx, rng));
 
-    // Every available backend, enumerated from kAllBackends so new
-    // tiers (avx512ifma, neon, ...) join the sweep automatically.
+    // Every available backend, enumerated from kAllBackends so a new
+    // tier joins the sweep automatically.
     std::vector<simd::Backend> backends;
     for (const simd::Backend backend : simd::kAllBackends) {
         if (simd::BackendAvailable(backend)) {

@@ -383,188 +383,6 @@ TEST_F(HeGraphTest, GraphApiMisuseThrows)
 }
 
 // ---------------------------------------------------------------------
-// Scheduler auto-fusion: Relinearize -> ModSwitch collapses to the
-// fused kernel when the Relinearize has no other consumer
-// ---------------------------------------------------------------------
-
-TEST_F(HeGraphTest, AutoFusesRelinIntoModSwitch)
-{
-    const Plaintext ma = RandomPlain(61);
-    const Plaintext mb = RandomPlain(62);
-    const Ciphertext a = scheme_->Encrypt(*sk_, ma);
-    const Ciphertext b = scheme_->Encrypt(*sk_, mb);
-
-    // Unfused chain spelled out node by node...
-    HeOpGraph chained(*scheme_, &*rk_);
-    const CtFuture chained_out = chained.ModSwitch(
-        chained.Relinearize(chained.Mul(chained.Input(a),
-                                        chained.Input(b))));
-    ResetNttOpCounts();
-    chained.Execute();
-    const NttOpCounts auto_fused = GetNttOpCounts();
-
-    // ...must execute with exactly the op budget of the explicit fused
-    // node: the standalone fold/alpha sweeps between the ops vanish.
-    HeOpGraph fused(*scheme_, &*rk_);
-    const CtFuture fused_out =
-        fused.MulRelinModSwitch(fused.Input(a), fused.Input(b));
-    ResetNttOpCounts();
-    fused.Execute();
-    const NttOpCounts explicit_fused = GetNttOpCounts();
-
-    EXPECT_EQ(auto_fused.forward, explicit_fused.forward);
-    EXPECT_EQ(auto_fused.inverse, explicit_fused.inverse);
-    EXPECT_EQ(auto_fused.elementwise, explicit_fused.elementwise);
-
-    // Same bits out, and nothing left pending (the bypassed
-    // Relinearize node does not count as schedulable work).
-    ASSERT_EQ(chained_out.get().parts.size(),
-              fused_out.get().parts.size());
-    for (std::size_t j = 0; j < 2; ++j) {
-        for (std::size_t l = 0;
-             l < chained_out.get().parts[j].prime_count(); ++l) {
-            EXPECT_TRUE(
-                std::ranges::equal(chained_out.get().parts[j].row(l),
-                                   fused_out.get().parts[j].row(l)));
-        }
-    }
-    EXPECT_EQ(chained.pending(), 0u);
-    EXPECT_EQ(scheme_->Decrypt(*sk_, chained_out.get()),
-              PlainMul(ma, mb));
-}
-
-TEST_F(HeGraphTest, AutoFusionSkipsRelinWithOtherConsumers)
-{
-    const Ciphertext a = scheme_->Encrypt(*sk_, RandomPlain(63));
-    const Ciphertext b = scheme_->Encrypt(*sk_, RandomPlain(64));
-
-    // The Relinearize result also feeds an Add, so it must be
-    // materialised — no fusion, same counts as the spelled-out chain.
-    HeOpGraph graph(*scheme_, &*rk_);
-    const CtFuture relin =
-        graph.Relinearize(graph.Mul(graph.Input(a), graph.Input(b)));
-    const CtFuture switched = graph.ModSwitch(relin);
-    const CtFuture kept = graph.Add(relin, relin);
-    graph.Execute();
-    EXPECT_EQ(graph.pending(), 0u);
-
-    const Ciphertext ref = scheme_->ModSwitch(
-        scheme_->Relinearize(scheme_->Mul(a, b), *rk_));
-    for (std::size_t j = 0; j < 2; ++j) {
-        for (std::size_t l = 0;
-             l < switched.get().parts[j].prime_count(); ++l) {
-            EXPECT_TRUE(std::ranges::equal(switched.get().parts[j].row(l),
-                                           ref.parts[j].row(l)));
-        }
-    }
-    (void)kept;
-}
-
-TEST_F(HeGraphTest, BypassedRelinRevivesForLateConsumers)
-{
-    // A consumer enqueued AFTER the fusion pass bypassed the relin
-    // node must bring it back into the schedule instead of executing
-    // on an empty value.
-    const Plaintext ma = RandomPlain(71);
-    const Plaintext mb = RandomPlain(72);
-    const Ciphertext a = scheme_->Encrypt(*sk_, ma);
-    const Ciphertext b = scheme_->Encrypt(*sk_, mb);
-
-    HeOpGraph graph(*scheme_, &*rk_);
-    const CtFuture relin =
-        graph.Relinearize(graph.Mul(graph.Input(a), graph.Input(b)));
-    const CtFuture sw1 = graph.ModSwitch(relin);
-    (void)sw1.get();  // fuses; relin is bypassed
-
-    const Ciphertext ref = scheme_->Relinearize(scheme_->Mul(a, b), *rk_);
-
-    // A second lone ModSwitch may re-fuse — the value must still be
-    // right.
-    const CtFuture sw2 = graph.ModSwitch(relin);
-    EXPECT_EQ(BgvScheme::Level(sw2.get()), BgvScheme::Level(ref) - 1);
-    for (std::size_t j = 0; j < 2; ++j) {
-        for (std::size_t l = 0;
-             l < sw2.get().parts[j].prime_count(); ++l) {
-            EXPECT_TRUE(std::ranges::equal(sw2.get().parts[j].row(l),
-                                           sw1.get().parts[j].row(l)));
-        }
-    }
-
-    // An Add consumer forces materialisation of the bypassed node.
-    const CtFuture doubled = graph.Add(relin, relin);
-    const Ciphertext &sum = doubled.get();
-    ASSERT_EQ(sum.parts.size(), ref.parts.size());
-    for (std::size_t j = 0; j < 2; ++j) {
-        const RnsBasis &basis = ref.parts[j].context().basis();
-        for (std::size_t l = 0; l < ref.parts[j].prime_count(); ++l) {
-            for (std::size_t k = 0; k < ref.parts[j].degree(); ++k) {
-                EXPECT_EQ(sum.parts[j].row(l)[k],
-                          AddMod(ref.parts[j].row(l)[k],
-                                 ref.parts[j].row(l)[k],
-                                 basis.prime(l)));
-            }
-        }
-    }
-}
-
-TEST_F(HeGraphTest, DemandedRelinIsNeverBypassed)
-{
-    // get() on the intermediate BEFORE any Execute: the fusion pass of
-    // the Execute that get() itself triggers must not bypass the
-    // demanded node (it would return an empty ciphertext otherwise).
-    const Plaintext ma = RandomPlain(67);
-    const Plaintext mb = RandomPlain(68);
-    const Ciphertext a = scheme_->Encrypt(*sk_, ma);
-    const Ciphertext b = scheme_->Encrypt(*sk_, mb);
-
-    HeOpGraph graph(*scheme_, &*rk_);
-    const CtFuture relin =
-        graph.Relinearize(graph.Mul(graph.Input(a), graph.Input(b)));
-    const CtFuture switched = graph.ModSwitch(relin);
-
-    const Ciphertext ref = scheme_->Relinearize(scheme_->Mul(a, b), *rk_);
-    const Ciphertext &got = relin.get();  // first execution trigger
-    ASSERT_EQ(got.parts.size(), ref.parts.size());
-    for (std::size_t j = 0; j < 2; ++j) {
-        for (std::size_t l = 0; l < got.parts[j].prime_count(); ++l) {
-            EXPECT_TRUE(std::ranges::equal(got.parts[j].row(l),
-                                           ref.parts[j].row(l)));
-        }
-    }
-    // The downstream ModSwitch still computes correctly (unfused,
-    // since its operand was materialised).
-    EXPECT_EQ(BgvScheme::Level(switched.get()),
-              BgvScheme::Level(ref) - 1);
-}
-
-TEST_F(HeGraphTest, BypassedRelinMaterialisesOnDemand)
-{
-    const Plaintext ma = RandomPlain(65);
-    const Plaintext mb = RandomPlain(66);
-    const Ciphertext a = scheme_->Encrypt(*sk_, ma);
-    const Ciphertext b = scheme_->Encrypt(*sk_, mb);
-
-    HeOpGraph graph(*scheme_, &*rk_);
-    const CtFuture relin =
-        graph.Relinearize(graph.Mul(graph.Input(a), graph.Input(b)));
-    const CtFuture switched = graph.ModSwitch(relin);
-    (void)switched.get();  // executes the fused node; relin bypassed
-    EXPECT_FALSE(relin.ready());
-
-    // Demanding the intermediate brings it back as a standalone op.
-    const Ciphertext ref = scheme_->Relinearize(scheme_->Mul(a, b), *rk_);
-    const Ciphertext &materialised = relin.get();
-    ASSERT_EQ(materialised.parts.size(), ref.parts.size());
-    for (std::size_t j = 0; j < 2; ++j) {
-        for (std::size_t l = 0;
-             l < materialised.parts[j].prime_count(); ++l) {
-            EXPECT_TRUE(std::ranges::equal(materialised.parts[j].row(l),
-                                           ref.parts[j].row(l)));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Failure containment: a failed node poisons exactly its dependents
 // ---------------------------------------------------------------------
 

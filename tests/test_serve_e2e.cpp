@@ -27,6 +27,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -166,9 +167,34 @@ TEST_F(ServeE2E, EncryptedRoundTripMatchesLocalEvaluation)
     EXPECT_EQ(scheme.Decrypt(sk, outputs->front()),
               scheme.Decrypt(sk, expected));
 
+    // The wire's fused op: slot 2 = a*b, slot 3 = RelinModSwitch(2),
+    // word for word the local fused evaluation.
+    Result<u64> fused_request = client->SubmitGraph(
+        {ct_a, ct_b},
+        {{WireOp::kMul, 0, 1}, {WireOp::kRelinModSwitch, 2, 0}}, {3});
+    ASSERT_TRUE(fused_request.ok()) << fused_request.status().ToString();
+    Result<std::vector<he::Ciphertext>> fused =
+        client->AwaitDone(*fused_request);
+    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+    ASSERT_EQ(fused->size(), 1u);
+    const he::Ciphertext fused_expected =
+        scheme.RelinModSwitch(scheme.Mul(ct_a, ct_b), rk);
+    const he::Ciphertext &fused_out = fused->front();
+    ASSERT_EQ(fused_out.parts.size(), fused_expected.parts.size());
+    for (std::size_t j = 0; j < fused_expected.parts.size(); ++j) {
+        ASSERT_EQ(fused_out.parts[j].prime_count(),
+                  fused_expected.parts[j].prime_count());
+        for (std::size_t l = 0; l < fused_expected.parts[j].prime_count();
+             ++l) {
+            EXPECT_TRUE(std::ranges::equal(fused_out.parts[j].row(l),
+                                           fused_expected.parts[j].row(l)))
+                << "part " << j << " limb " << l;
+        }
+    }
+
     Result<WireStats> stats = client->Stats();
     ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->requests_completed, 1u);
+    EXPECT_EQ(stats->requests_completed, 2u);
     EXPECT_EQ(stats->requests_failed, 0u);
 }
 
@@ -286,6 +312,12 @@ TEST_F(ServeE2E, ErrorsArriveAsStatusWithDaemonProvenance)
         {ct, ct}, {{WireOp::kMul, 0, 1}, {WireOp::kRelin, 2, 0}}, {3});
     ASSERT_FALSE(keyless.ok());
     EXPECT_EQ(keyless.status().code(),
+              ErrorCode::kFailedPrecondition);
+    Result<u64> keyless_fused = client->SubmitGraph(
+        {ct, ct},
+        {{WireOp::kMul, 0, 1}, {WireOp::kRelinModSwitch, 2, 0}}, {3});
+    ASSERT_FALSE(keyless_fused.ok());
+    EXPECT_EQ(keyless_fused.status().code(),
               ErrorCode::kFailedPrecondition);
 
     // Unknown request id: a polling error, not a hang.

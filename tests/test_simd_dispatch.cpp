@@ -139,22 +139,6 @@ TEST(SimdDispatchDiag, Avx512TableHasNoBorrowedSlots)
     }
 }
 
-TEST(SimdDispatchDiag, IfmaTableSwapsExactlyTheMulFamily)
-{
-    if (!simd::BackendAvailable(simd::Backend::kAvx512Ifma)) {
-        GTEST_SKIP() << "AVX-512 IFMA backend unavailable on this host";
-    }
-    for (const auto &[slot, tu] :
-         ParseTable(simd::Backend::kAvx512Ifma)) {
-        if (slot == "mul_barrett_rows" || slot == "mul_acc_barrett_rows" ||
-            slot == "tensor_rows") {
-            EXPECT_EQ(tu, "avx512ifma") << slot;
-        } else {
-            EXPECT_EQ(tu, "avx512") << slot;
-        }
-    }
-}
-
 TEST(SimdDispatchDiag, NeonTableMirrorsTheAvx2Verdict)
 {
     if (!simd::BackendAvailable(simd::Backend::kNeon)) {
@@ -169,14 +153,6 @@ TEST(SimdDispatchDiag, NeonTableMirrorsTheAvx2Verdict)
             EXPECT_EQ(tu, "neon") << slot;
         }
     }
-}
-
-TEST(SimdDispatchDiag, IfmaIsNeverAutoSelected)
-{
-    // The ablation tier is explicit-only: whatever the environment and
-    // CPU, automatic resolution must not land on it.
-    simd::ResetBackend();
-    EXPECT_NE(simd::ActiveBackend(), simd::Backend::kAvx512Ifma);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
  *   ping      liveness round trip
  *   stats     print the daemon's counters
  *   demo      full encrypted round trip: keygen locally, create a
- *             session, upload keys, submit (a*b relinearized and
- *             mod-switched), await, decrypt, verify the product
+ *             session, upload keys, submit a*b followed by the
+ *             fused RelinModSwitch op, await, decrypt, verify the
+ *             product
  *   shutdown  stop the daemon
  *
  * The demo is the CI smoke test for the built binaries: it exercises
@@ -66,17 +67,16 @@ RunDemo(hentt::serve::Client &client)
         b[i] = rng.Next() % params.plain_modulus;
     }
 
-    // Program over slots: 0,1 = inputs; 2 = a*b; 3 = relin(2);
-    // 4 = modswitch(3). Return slot 4.
+    // Program over slots: 0,1 = inputs; 2 = a*b; 3 = the fused
+    // relinearize-and-modswitch of 2. Return slot 3.
     std::vector<he::Ciphertext> inputs;
     inputs.push_back(scheme.Encrypt(sk, a));
     inputs.push_back(scheme.Encrypt(sk, b));
     const std::vector<serve::WireProgram::Op> ops = {
         {serve::WireOp::kMul, 0, 1},
-        {serve::WireOp::kRelin, 2, 0},
-        {serve::WireOp::kModSwitch, 3, 0},
+        {serve::WireOp::kRelinModSwitch, 2, 0},
     };
-    Result<u64> request = client.SubmitGraph(inputs, ops, {4});
+    Result<u64> request = client.SubmitGraph(inputs, ops, {3});
     if (!request.ok()) {
         std::cerr << "SubmitGraph: " << request.status().ToString()
                   << "\n";
